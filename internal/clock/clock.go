@@ -23,6 +23,10 @@ type Clock interface {
 	NewTimer(d time.Duration) Timer
 	// Sleep blocks until d has elapsed.
 	Sleep(d time.Duration)
+	// AfterFunc calls f once d has elapsed. A Manual clock calls it on the
+	// goroutine that advances the clock, in due order, before Advance
+	// returns.
+	AfterFunc(d time.Duration, f func())
 }
 
 // Timer is a one-shot timer bound to a Clock.
@@ -49,6 +53,9 @@ func (Real) NewTimer(d time.Duration) Timer { return realTimer{time.NewTimer(d)}
 // Sleep implements Clock.
 func (Real) Sleep(d time.Duration) { time.Sleep(d) }
 
+// AfterFunc implements Clock.
+func (Real) AfterFunc(d time.Duration, f func()) { time.AfterFunc(d, f) }
+
 type realTimer struct{ t *time.Timer }
 
 func (r realTimer) C() <-chan time.Time { return r.t.C }
@@ -60,6 +67,7 @@ type Manual struct {
 	mu      sync.Mutex
 	now     time.Time
 	waiters waiterHeap
+	seq     uint64 // registration order, the tie-break among equal due times
 }
 
 // NewManual returns a Manual clock starting at start.
@@ -68,17 +76,25 @@ func NewManual(start time.Time) *Manual {
 }
 
 type waiter struct {
-	at time.Time
-	ch chan time.Time
+	at  time.Time
+	seq uint64
+	ch  chan time.Time
 	// timer, when non-nil, lets Stop suppress the delivery (the waiter
 	// stays in the heap until due but fires into nothing).
 	timer *manualTimer
+	// fn, when non-nil, is an AfterFunc callback; ch is then nil.
+	fn func()
 }
 
 type waiterHeap []waiter
 
-func (h waiterHeap) Len() int            { return len(h) }
-func (h waiterHeap) Less(i, j int) bool  { return h[i].at.Before(h[j].at) }
+func (h waiterHeap) Len() int { return len(h) }
+func (h waiterHeap) Less(i, j int) bool {
+	if !h[i].at.Equal(h[j].at) {
+		return h[i].at.Before(h[j].at)
+	}
+	return h[i].seq < h[j].seq
+}
 func (h waiterHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *waiterHeap) Push(x interface{}) { *h = append(*h, x.(waiter)) }
 func (h *waiterHeap) Pop() interface{} {
@@ -107,7 +123,8 @@ func (m *Manual) After(d time.Duration) <-chan time.Time {
 		ch <- m.now
 		return ch
 	}
-	heap.Push(&m.waiters, waiter{at: at, ch: ch})
+	m.seq++
+	heap.Push(&m.waiters, waiter{at: at, seq: m.seq, ch: ch})
 	return ch
 }
 
@@ -115,6 +132,21 @@ func (m *Manual) After(d time.Duration) <-chan time.Time {
 // clock far enough.
 func (m *Manual) Sleep(d time.Duration) {
 	<-m.After(d)
+}
+
+// AfterFunc implements Clock: f runs inside the Advance that moves the
+// clock to or past now+d, after the clock's lock is released, so f may use
+// the clock. Timers due at the same instant fire in registration order.
+func (m *Manual) AfterFunc(d time.Duration, f func()) {
+	m.mu.Lock()
+	if d <= 0 {
+		m.mu.Unlock()
+		f()
+		return
+	}
+	m.seq++
+	heap.Push(&m.waiters, waiter{at: m.now.Add(d), seq: m.seq, fn: f})
+	m.mu.Unlock()
 }
 
 // NewTimer implements Clock: the timer fires when Advance moves the clock
@@ -128,7 +160,8 @@ func (m *Manual) NewTimer(d time.Duration) Timer {
 		t.ch <- m.now
 		return t
 	}
-	heap.Push(&m.waiters, waiter{at: m.now.Add(d), ch: t.ch, timer: t})
+	m.seq++
+	heap.Push(&m.waiters, waiter{at: m.now.Add(d), seq: m.seq, ch: t.ch, timer: t})
 	return t
 }
 
@@ -153,7 +186,8 @@ func (t *manualTimer) Stop() bool {
 	return true
 }
 
-// Advance moves the clock forward by d, firing any timers that come due.
+// Advance moves the clock forward by d, firing any timers that come due
+// and running due AfterFunc callbacks before it returns.
 func (m *Manual) Advance(d time.Duration) {
 	m.mu.Lock()
 	m.now = m.now.Add(d)
@@ -171,6 +205,10 @@ func (m *Manual) Advance(d time.Duration) {
 	now := m.now
 	m.mu.Unlock()
 	for _, w := range due {
+		if w.fn != nil {
+			w.fn()
+			continue
+		}
 		w.ch <- now
 	}
 }

@@ -194,3 +194,30 @@ func TestManualSetBackwardsPanics(t *testing.T) {
 	}()
 	m.Set(time.Unix(50, 0))
 }
+
+func TestManualAfterFuncRunsInsideAdvance(t *testing.T) {
+	m := NewManual(time.Unix(0, 0))
+	var order []int
+	var seen []time.Time
+	m.AfterFunc(2*time.Second, func() { order = append(order, 2); seen = append(seen, m.Now()) })
+	m.AfterFunc(time.Second, func() { order = append(order, 1); seen = append(seen, m.Now()) })
+	m.AfterFunc(0, func() { order = append(order, 0) })
+	if len(order) != 1 || order[0] != 0 {
+		t.Fatalf("AfterFunc(0) did not run at once: %v", order)
+	}
+	m.Advance(500 * time.Millisecond)
+	if len(order) != 1 {
+		t.Fatalf("callback ran before its time: %v", order)
+	}
+	// Both callbacks come due in this Advance: they have run, in due
+	// order, by the time it returns, and may read the clock.
+	m.Advance(2 * time.Second)
+	if len(order) != 3 || order[1] != 1 || order[2] != 2 {
+		t.Fatalf("order = %v, want [0 1 2]", order)
+	}
+	for _, at := range seen {
+		if !at.Equal(time.Unix(2, 500_000_000)) {
+			t.Fatalf("callback read %v, want the advanced time", at)
+		}
+	}
+}

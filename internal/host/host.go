@@ -445,7 +445,7 @@ func (h *Host) Invoke(sn wire.Addr, target wire.ServiceID, op string, args any) 
 		h.mu.Unlock()
 	}()
 
-	if err := h.pipes.Send(sn, &wire.ILPHeader{Service: wire.SvcControl, Conn: conn}, body); err != nil {
+	if err := h.send(sn, wire.ILPHeader{Service: wire.SvcControl, Conn: conn}, body); err != nil {
 		return nil, err
 	}
 	select {
@@ -454,6 +454,19 @@ func (h *Host) Invoke(sn wire.Addr, target wire.ServiceID, op string, args any) 
 	case <-h.cfg.Clock.After(h.cfg.InvokeTimeout):
 		return nil, ErrInvokeTimeout
 	}
+}
+
+// send transmits one packet over the pipe to dst. A manager-backed host
+// calls its Manager directly, which encodes hdr into the send buffer and
+// keeps it on the caller's stack; through the pipeBackend interface the
+// header would escape to the heap on every send, so only the engine path
+// pays that, in its own copy.
+func (h *Host) send(dst wire.Addr, hdr wire.ILPHeader, payload []byte) error {
+	if h.mgr != nil {
+		return h.mgr.Send(dst, &hdr, payload)
+	}
+	escaped := hdr
+	return h.pipes.Send(dst, &escaped, payload)
 }
 
 // SendHeaderBytes sends an already-encoded ILP header with payload over
@@ -484,6 +497,7 @@ func Via(sn wire.Addr) ConnOption {
 }
 
 // WithBuffer sets the connection's receive buffer depth (default 256).
+// The buffer is allocated on first use, by Receive or the first delivery.
 func WithBuffer(n int) ConnOption {
 	return func(c *Conn) { c.bufDepth = n }
 }
@@ -496,8 +510,9 @@ type Conn struct {
 	id       wire.ConnectionID
 	via      wire.Addr
 	bufDepth int
-	rx       chan Message
 
+	rxOnce    sync.Once
+	rx        chan Message // see inbox
 	closeOnce sync.Once
 }
 
@@ -525,7 +540,6 @@ func (h *Host) NewConn(svc wire.ServiceID, opts ...ConnOption) (*Conn, error) {
 	if err := h.pipes.Connect(c.via); err != nil {
 		return nil, err
 	}
-	c.rx = make(chan Message, c.bufDepth)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
@@ -552,8 +566,7 @@ func (c *Conn) Via() wire.Addr {
 // Send transmits payload with optional service-specific header data. Per
 // §4, the header data may differ per packet within a connection.
 func (c *Conn) Send(svcData, payload []byte) error {
-	hdr := wire.ILPHeader{Service: c.svc, Conn: c.id, Data: svcData}
-	return c.host.pipes.Send(c.Via(), &hdr, payload)
+	return c.host.send(c.Via(), wire.ILPHeader{Service: c.svc, Conn: c.id, Data: svcData}, payload)
 }
 
 // SendVia transmits through an explicit SN (e.g. a pass-through SN chain).
@@ -561,17 +574,24 @@ func (c *Conn) SendVia(sn wire.Addr, svcData, payload []byte) error {
 	if err := c.host.pipes.Connect(sn); err != nil {
 		return err
 	}
-	hdr := wire.ILPHeader{Service: c.svc, Conn: c.id, Data: svcData}
-	return c.host.pipes.Send(sn, &hdr, payload)
+	return c.host.send(sn, wire.ILPHeader{Service: c.svc, Conn: c.id, Data: svcData}, payload)
 }
 
 // Receive returns the connection's inbound message channel. It is closed
 // when the connection closes.
-func (c *Conn) Receive() <-chan Message { return c.rx }
+func (c *Conn) Receive() <-chan Message { return c.inbox() }
+
+// inbox returns the receive buffer, creating it on first use. A sending
+// fleet opens many connections that never receive, and a buffer of
+// bufDepth Messages each would dominate its heap.
+func (c *Conn) inbox() chan Message {
+	c.rxOnce.Do(func() { c.rx = make(chan Message, c.bufDepth) })
+	return c.rx
+}
 
 func (c *Conn) deliver(msg Message) {
 	select {
-	case c.rx <- msg:
+	case c.inbox() <- msg:
 	default: // receiver not draining: drop, as the network would
 	}
 }
@@ -582,6 +602,9 @@ func (c *Conn) Close() {
 		c.host.mu.Lock()
 		delete(c.host.conns, connKey{c.svc, c.id})
 		c.host.mu.Unlock()
+		// A buffer never used gets no depth: nothing is delivered after
+		// Close, so an empty closed channel behaves the same.
+		c.rxOnce.Do(func() { c.rx = make(chan Message) })
 		close(c.rx)
 	})
 }
@@ -596,8 +619,7 @@ func (h *Host) SendDirect(dst wire.Addr, svc wire.ServiceID, conn wire.Connectio
 	if err := h.pipes.Connect(dst); err != nil {
 		return err
 	}
-	hdr := wire.ILPHeader{Service: svc, Conn: conn, Data: svcData}
-	return h.pipes.Send(dst, &hdr, payload)
+	return h.send(dst, wire.ILPHeader{Service: svc, Conn: conn, Data: svcData}, payload)
 }
 
 // Close shuts the host down.

@@ -22,11 +22,11 @@ type engineBinding struct {
 	id    handshake.Identity
 }
 
-func (b *engineBinding) LocalAddr() wire.Addr          { return b.local }
-func (b *engineBinding) Identity() handshake.Identity  { return b.id }
-func (b *engineBinding) Connect(addr wire.Addr) error  { return b.eng.Connect(b.local, addr) }
-func (b *engineBinding) Redial(addr wire.Addr) error   { return b.eng.Redial(b.local, addr) }
-func (b *engineBinding) DropPeer(addr wire.Addr)       { b.eng.DropPeer(b.local, addr) }
+func (b *engineBinding) LocalAddr() wire.Addr         { return b.local }
+func (b *engineBinding) Identity() handshake.Identity { return b.id }
+func (b *engineBinding) Connect(addr wire.Addr) error { return b.eng.Connect(b.local, addr) }
+func (b *engineBinding) Redial(addr wire.Addr) error  { return b.eng.Redial(b.local, addr) }
+func (b *engineBinding) DropPeer(addr wire.Addr)      { b.eng.DropPeer(b.local, addr) }
 func (b *engineBinding) RebindPeer(oldAddr, newAddr wire.Addr) error {
 	return b.eng.RebindPeer(b.local, oldAddr, newAddr)
 }

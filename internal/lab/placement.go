@@ -25,6 +25,12 @@ type Placement struct {
 	hosts  map[wire.Addr]*host.Host
 	placed map[wire.Addr]wire.Addr // host -> serving SN
 
+	// moves serializes DrainSN and sweep. Both move hosts off an SN, and
+	// placed changes only once a move is done, so a sweep running during
+	// a drain would otherwise hand off the same host a second time and
+	// fail the drain.
+	moves sync.Mutex
+
 	cancel func()
 	done   chan struct{}
 }
@@ -144,6 +150,8 @@ func (p *Placement) DrainSN(snAddr wire.Addr) error {
 	if err != nil {
 		return err
 	}
+	p.moves.Lock()
+	defer p.moves.Unlock()
 	if err := p.ed.Core.BeginDrain(snAddr); err != nil {
 		return err
 	}
@@ -214,11 +222,16 @@ func (p *Placement) watch(ch <-chan edomain.RingEvent) {
 // sweep moves every adopted host whose ring owner changed. A host leaving
 // a live SN migrates by handoff (no re-handshake); a host leaving a dead
 // SN is re-associated from scratch — the successor counts one failover.
+// PlacedOn reports the new SN only once the host has moved and its
+// record is republished, so a caller that sees the placement converge
+// also sees lookup agree with it.
 func (p *Placement) sweep() {
 	type move struct {
 		h        *host.Host
 		from, to wire.Addr
 	}
+	p.moves.Lock()
+	defer p.moves.Unlock()
 	p.mu.Lock()
 	var moves []move
 	for addr, h := range p.hosts {
@@ -228,7 +241,6 @@ func (p *Placement) sweep() {
 		}
 		if cur := p.placed[addr]; cur != want {
 			moves = append(moves, move{h, cur, want})
-			p.placed[addr] = want
 		}
 	}
 	p.mu.Unlock()
@@ -241,6 +253,9 @@ func (p *Placement) sweep() {
 			}
 		}
 		_ = p.publish(m.h, m.to)
+		p.mu.Lock()
+		p.placed[m.h.Addr()] = m.to
+		p.mu.Unlock()
 	}
 }
 

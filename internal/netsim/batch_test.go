@@ -21,6 +21,7 @@ type loopTransport struct {
 func (l *loopTransport) LocalAddr() wire.Addr          { return l.inner.LocalAddr() }
 func (l *loopTransport) Receive() <-chan wire.Datagram { return l.inner.Receive() }
 func (l *loopTransport) Close() error                  { return l.inner.Close() }
+func (l *loopTransport) SyscallSend() bool             { return l.inner.SyscallSend() }
 func (l *loopTransport) Send(dg wire.Datagram) error {
 	l.sends++
 	return l.inner.Send(dg)

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"interedge/internal/clock"
@@ -53,6 +54,11 @@ type Transport interface {
 	Receive() <-chan wire.Datagram
 	// Close detaches the node.
 	Close() error
+	// SyscallSend reports whether each Send costs a system call (a socket
+	// write) rather than an in-process hand-off. A sender with a burst to
+	// hand over gains from coalescing it into one SendBatch only when it
+	// does. Wrappers that embed a Transport forward it unchanged.
+	SyscallSend() bool
 }
 
 // BatchSender is the optional vectored-egress extension of Transport. Both
@@ -88,6 +94,15 @@ func SendBatch(t Transport, dgs []wire.Datagram) (int, error) {
 		}
 	}
 	return len(dgs), nil
+}
+
+// RxTracker is implemented by transports that count each inbound datagram
+// from its delivery until the receiver reports it handled, so a simulation
+// can tell when the fabric's nodes have caught up (Network.Pending). A
+// receiver calls RxDone once for every datagram it took from Receive, after
+// handling it (including any sends the handling made).
+type RxTracker interface {
+	RxDone(n int)
 }
 
 // ErrClosed is returned by Send after Close.
@@ -287,6 +302,22 @@ func (n *Network) Heal(a, b wire.Addr) {
 // Snapshot returns current fabric counters.
 func (n *Network) Snapshot() Stats {
 	return n.stats.snapshot()
+}
+
+// Pending returns the number of datagrams delivered to attached nodes that
+// their receivers have not yet reported handled (RxTracker). A node whose
+// receiver never reports keeps its deliveries pending until it detaches.
+// Mux ports are not counted (their shared queue reports Mux.Backlog).
+func (n *Network) Pending() int64 {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	var total int64
+	for _, t := range n.nodes {
+		if !t.shared {
+			total += t.pending.Load()
+		}
+	}
+	return total
 }
 
 // Attach connects a new node at addr and returns its transport.
@@ -544,6 +575,7 @@ func (n *Network) deliverRun(dst *simTransport, cps []wire.Datagram) {
 		n.stats.droppedDead.Add(uint64(len(cps)))
 		return
 	}
+	dst.pending.Add(int64(len(cps)))
 	for _, cp := range cps {
 		select {
 		case dst.rx <- cp:
@@ -552,6 +584,7 @@ func (n *Network) deliverRun(dst *simTransport, cps []wire.Datagram) {
 			droppedQueue++
 		}
 	}
+	dst.pending.Add(-int64(droppedQueue))
 	dst.mu.Unlock()
 	n.stats.delivered.Add(delivered)
 	n.stats.droppedQueue.Add(droppedQueue)
@@ -590,12 +623,9 @@ func (n *Network) transmit(dst *simTransport, dg wire.Datagram, delay time.Durat
 		return
 	}
 	// Register the timer synchronously so that a Manual clock advanced
-	// right after Send returns still fires this delivery.
-	timer := n.clk.After(delay)
-	go func() {
-		<-timer
-		n.deliver(dst, cp)
-	}()
+	// right after Send returns still fires this delivery; on a Manual
+	// clock the delivery has happened by the time Advance returns.
+	n.clk.AfterFunc(delay, func() { n.deliver(dst, cp) })
 }
 
 func (n *Network) deliver(dst *simTransport, dg wire.Datagram) {
@@ -605,11 +635,15 @@ func (n *Network) deliver(dst *simTransport, dg wire.Datagram) {
 		n.stats.droppedDead.Add(1)
 		return
 	}
+	// Count the datagram before the receiver can see it, so its RxDone
+	// never runs ahead of the count.
+	dst.pending.Add(1)
 	select {
 	case dst.rx <- dg:
 		dst.mu.Unlock()
 		n.stats.delivered.Add(1)
 	default:
+		dst.pending.Add(-1)
 		dst.mu.Unlock()
 		n.stats.droppedQueue.Add(1)
 	}
@@ -626,6 +660,9 @@ type simTransport struct {
 	// closed is guarded by mu; deliver() checks it before sending on rx so
 	// Close can safely close the channel.
 	closed bool
+	// pending counts datagrams delivered to rx and not yet reported
+	// handled through RxDone.
+	pending atomic.Int64
 }
 
 func (t *simTransport) LocalAddr() wire.Addr { return t.addr }
@@ -659,6 +696,12 @@ func (t *simTransport) SendBatch(dgs []wire.Datagram) (int, error) {
 }
 
 func (t *simTransport) Receive() <-chan wire.Datagram { return t.rx }
+
+// RxDone implements RxTracker.
+func (t *simTransport) RxDone(n int) { t.pending.Add(-int64(n)) }
+
+// SyscallSend implements Transport: a fabric Send is a function call.
+func (t *simTransport) SyscallSend() bool { return false }
 
 // RegisterTelemetry implements telemetry.Registrable: the fabric endpoint
 // contributes a lazy gauge for its receive-queue depth so a node's snapshot

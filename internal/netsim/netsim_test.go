@@ -323,3 +323,39 @@ func BenchmarkFabricDelivery(b *testing.B) {
 	dst.Close()
 	<-done
 }
+
+func TestDelayedDeliveryQueuedByAdvance(t *testing.T) {
+	clk := clock.NewManual(time.Unix(0, 0))
+	n := NewNetwork(WithClock(clk))
+	a := attach(t, n, "fd00::1")
+	b := attach(t, n, "fd00::2")
+	n.SetLinkBoth(a.LocalAddr(), b.LocalAddr(), LinkProfile{Latency: 10 * time.Millisecond})
+	for i := 0; i < 3; i++ {
+		if err := a.Send(wire.Datagram{Dst: b.LocalAddr(), Payload: []byte{byte(i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := n.Pending(); got != 0 {
+		t.Fatalf("%d pending before the latency elapsed", got)
+	}
+	// On a Manual clock the deliveries happen inside Advance, in send
+	// order: they are queued when it returns, with no goroutine to wait on.
+	clk.Advance(10 * time.Millisecond)
+	if got := n.Pending(); got != 3 {
+		t.Fatalf("%d pending right after Advance, want 3", got)
+	}
+	for i := 0; i < 3; i++ {
+		if dg := <-b.Receive(); dg.Payload[0] != byte(i) {
+			t.Fatalf("datagram %d carried %d", i, dg.Payload[0])
+		}
+	}
+	// Taken is not handled: a datagram stays pending until its receiver
+	// reports it done.
+	if got := n.Pending(); got != 3 {
+		t.Fatalf("%d pending after the receiver took them, want 3", got)
+	}
+	b.(RxTracker).RxDone(3)
+	if got := n.Pending(); got != 0 {
+		t.Fatalf("%d pending after RxDone", got)
+	}
+}

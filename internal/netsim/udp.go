@@ -402,6 +402,9 @@ func (t *UDPTransport) RegisterTelemetry(r *telemetry.Registry) {
 // Receive implements Transport.
 func (t *UDPTransport) Receive() <-chan wire.Datagram { return t.rx }
 
+// SyscallSend implements Transport: every Send is one sendto(2).
+func (t *UDPTransport) SyscallSend() bool { return true }
+
 // Close implements Transport.
 func (t *UDPTransport) Close() error {
 	if t.closed.Swap(true) {

@@ -471,8 +471,8 @@ func (fw *Forwarder) HandlePacket(env sn.Env, pkt *sn.Packet) (sn.Decision, erro
 
 // SendTransit encapsulates and launches an inner packet from the SN at
 // env toward the destination SN, using the gateway path (or a direct pipe
-// when the optimization is on). The connection ID of the outer packet
-// reuses the inner one so transit flows stay cacheable per-flow.
+// when the optimization is on). The outer packet's connection ID names
+// the transit flow (see transitConn) so it stays cacheable per flow.
 func SendTransit(env sn.Env, fabric *Fabric, finalDst, origSrc wire.Addr, inner *wire.ILPHeader, innerPayload []byte) error {
 	svcData, payload, err := EncodeTransit(finalDst, origSrc, inner, innerPayload)
 	if err != nil {
@@ -482,6 +482,32 @@ func SendTransit(env sn.Env, fabric *Fabric, finalDst, origSrc wire.Addr, inner 
 	if err != nil {
 		return err
 	}
-	outer := wire.ILPHeader{Service: wire.SvcPeering, Conn: inner.Conn, Data: svcData}
+	outer := wire.ILPHeader{Service: wire.SvcPeering, Conn: transitConn(finalDst, origSrc, inner), Data: svcData}
 	return env.Send(next, &outer, payload)
+}
+
+// transitConn derives the outer connection ID of a transit flow from its
+// final destination, original source and inner service and connection
+// (FNV-1a). Every SN on the gateway path caches its forward under
+// (previous hop, SvcPeering, conn), and hosts behind one SN pick inner
+// connection IDs independently: keyed on the inner ID alone, one flow's
+// cached hop steered every colliding flow through the same previous hop,
+// and two such rules pointing at each other held packets in a loop.
+func transitConn(finalDst, origSrc wire.Addr, inner *wire.ILPHeader) wire.ConnectionID {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	d, s := finalDst.As16(), origSrc.As16()
+	for _, b := range d {
+		h = (h ^ uint64(b)) * prime
+	}
+	for _, b := range s {
+		h = (h ^ uint64(b)) * prime
+	}
+	for i := 0; i < 4; i++ {
+		h = (h ^ uint64(byte(uint32(inner.Service)>>(8*i)))) * prime
+	}
+	for i := 0; i < 8; i++ {
+		h = (h ^ uint64(byte(uint64(inner.Conn)>>(8*i)))) * prime
+	}
+	return wire.ConnectionID(h)
 }

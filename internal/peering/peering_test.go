@@ -303,3 +303,29 @@ func (e *transitEcho) HandlePacket(env sn.Env, pkt *sn.Packet) (sn.Decision, err
 	e.got <- &cp
 	return sn.Decision{}, nil
 }
+
+// TestTransitConnNamesFlow pins the outer connection ID of transit
+// packets: SNs on the gateway path cache forwards per (previous hop,
+// SvcPeering, conn), so two flows that share an inner connection ID —
+// hosts pick them independently — must not share the outer one, while
+// every packet of one flow must.
+func TestTransitConnNamesFlow(t *testing.T) {
+	dstA, dstB := wire.MustAddr("fd00::a"), wire.MustAddr("fd00::b")
+	src1, src2 := wire.MustAddr("fd00::1"), wire.MustAddr("fd00::2")
+	inner := &wire.ILPHeader{Service: wire.SvcIPFwd, Conn: 3}
+
+	base := transitConn(dstA, src1, inner)
+	if again := transitConn(dstA, src1, &wire.ILPHeader{Service: wire.SvcIPFwd, Conn: 3, Data: []byte("x")}); again != base {
+		t.Fatalf("one flow got outer conns %d and %d", base, again)
+	}
+	for name, other := range map[string]wire.ConnectionID{
+		"other destination": transitConn(dstB, src1, inner),
+		"other source":      transitConn(dstA, src2, inner),
+		"other service":     transitConn(dstA, src1, &wire.ILPHeader{Service: wire.SvcEcho, Conn: 3}),
+		"other inner conn":  transitConn(dstA, src1, &wire.ILPHeader{Service: wire.SvcIPFwd, Conn: 4}),
+	} {
+		if other == base {
+			t.Errorf("%s shares outer conn %d with the base flow", name, base)
+		}
+	}
+}

@@ -521,9 +521,6 @@ func (e *Engine) handleMsg1(local, remote wire.Addr, body []byte) {
 		return
 	}
 	out := append([]byte{byte(wire.FrameHandshake2)}, msg2...)
-	if err := e.cfg.Transport.Send(wire.Datagram{Src: local, Dst: remote, Payload: out}); err != nil {
-		return
-	}
 	e.mu.Lock()
 	if _, ok := e.respCache[key]; !ok {
 		e.respFIFO = append(e.respFIFO, key)
@@ -535,7 +532,9 @@ func (e *Engine) handleMsg1(local, remote wire.Addr, body []byte) {
 	}
 	e.respCache[key] = msg1Reply{digest: digest, msg2: out}
 	e.mu.Unlock()
+	// As in Manager.handleMsg1: the pipe is up before msg2 leaves.
 	e.establish(key, ep, res)
+	_ = e.cfg.Transport.Send(wire.Datagram{Src: local, Dst: remote, Payload: out})
 }
 
 func (e *Engine) handleMsg2(local, remote wire.Addr, body []byte) {

@@ -23,7 +23,6 @@ import (
 	"crypto/ed25519"
 	"crypto/sha256"
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -163,6 +162,8 @@ type Config struct {
 	// immediately, so an idle node adds no latency) or when a destination
 	// reaches the cap under backpressure. 0 selects the default (32); 1
 	// disables coalescing and hands the handler the Manager directly.
+	// Above 1, the Manager's own sends also coalesce on a transport whose
+	// SyscallSend reports true (see txQueue).
 	TxBatch int
 	// Telemetry is the registry the manager's pipe_* instruments are
 	// created in, normally the owning node's registry so pipe metrics
@@ -206,6 +207,15 @@ type peer struct {
 	// lastRx is the UnixNano timestamp of the last authenticated inbound
 	// packet; keepalive liveness is judged against it.
 	lastRx atomic.Int64
+
+	// sendMu makes IV reservation and the hand-off to the transport one
+	// step, so this pipe's packets reach the wire in IV order whichever
+	// goroutines seal them. Without it a sender descheduled between the
+	// two could fall more than the receiver's 1024-IV replay window
+	// behind another and have its packets rejected as too old. Holding it
+	// across Send/SendBatch never waits on the peer: transports must not
+	// block on the receiver (netsim.Transport).
+	sendMu sync.Mutex
 }
 
 type pendingConn struct {
@@ -219,10 +229,13 @@ type pendingConn struct {
 type peerMap map[wire.Addr]*peer
 
 // sealBuf bundles the reusable buffers for one in-flight send: the framed
-// output packet and the PSP seal scratch.
+// output packet, its header length (hdrLens[0]), and, for a packet sealed
+// on its own, the PSP seal scratch and SealStaged's packet argument.
 type sealBuf struct {
 	buf     []byte
 	scratch psp.Scratch
+	pkt     [1][]byte
+	hdrLens [1]int
 }
 
 // rxWorkerQueueDepth bounds each worker's backlog. A full queue blocks the
@@ -279,6 +292,11 @@ type Manager struct {
 
 	workers  []chan wire.Datagram
 	sealBufs sync.Pool
+	txq      *txQueue // nil unless sends coalesce (see New)
+	// rxTracker, when the transport counts deliveries until handled
+	// (netsim fabric), is told about every datagram once handling it,
+	// and the sends it caused, is done.
+	rxTracker netsim.RxTracker
 
 	// Pipe metrics live in the node's telemetry registry; these handles
 	// are the hot-path instruments (atomic counters, one histogram).
@@ -293,6 +311,10 @@ type Manager struct {
 	txFlushDrops      *telemetry.Counter
 	flushBatchSize    *telemetry.Histogram
 	rxOpenBatchSize   *telemetry.Histogram
+	// Receive-side open failures by reason: replayed or too-old IV,
+	// failed authentication, and anything else (unknown epoch or SPI,
+	// truncation).
+	rxOpenReplay, rxOpenAuth, rxOpenOther *telemetry.Counter
 
 	done chan struct{}
 	wg   sync.WaitGroup
@@ -348,6 +370,7 @@ func New(cfg Config) (*Manager, error) {
 	}
 	empty := make(peerMap)
 	m.peers.Store(&empty)
+	m.rxTracker, _ = cfg.Transport.(netsim.RxTracker)
 	m.sealBufs.New = func() any { return new(sealBuf) }
 	reg := cfg.Telemetry
 	if reg == nil {
@@ -365,6 +388,9 @@ func New(cfg Config) (*Manager, error) {
 	m.txFlushDrops = reg.Counter("pipe_tx_flush_drops_total")
 	m.flushBatchSize = reg.Histogram("pipe_tx_flush_batch_size", telemetry.BatchBuckets)
 	m.rxOpenBatchSize = reg.Histogram("pipe_rx_open_batch_size", telemetry.BatchBuckets)
+	m.rxOpenReplay = reg.Counter(telemetry.Name("pipe_rx_open_failures_total", "reason", "replay"))
+	m.rxOpenAuth = reg.Counter(telemetry.Name("pipe_rx_open_failures_total", "reason", "auth"))
+	m.rxOpenOther = reg.Counter(telemetry.Name("pipe_rx_open_failures_total", "reason", "other"))
 	_ = reg.Register(telemetry.NewGaugeFunc("pipe_peers", func() int64 {
 		return int64(len(*m.peers.Load()))
 	}))
@@ -382,6 +408,11 @@ func New(cfg Config) (*Manager, error) {
 	if cfg.KeepaliveInterval > 0 {
 		m.wg.Add(1)
 		go m.keepaliveLoop()
+	}
+	// The Manager's own sends coalesce only where one Send is a system
+	// call; on the in-process fabric a batch would save nothing.
+	if cfg.TxBatch > 1 && cfg.Transport.SyscallSend() {
+		m.txq = m.newTxQueue()
 	}
 	return m, nil
 }
@@ -419,6 +450,7 @@ func (m *Manager) receiveLoop() {
 	}
 	for dg := range m.cfg.Transport.Receive() {
 		if len(dg.Payload) < 1 {
+			m.rxDone(1)
 			continue
 		}
 		m.workers[shardFor(dg.Src, n)] <- dg
@@ -431,6 +463,13 @@ func (m *Manager) receiveLoop() {
 func (m *Manager) runWorker(ch chan wire.Datagram) {
 	defer m.wg.Done()
 	m.consume(ch)
+}
+
+// rxDone reports n received datagrams handled to a tracking transport.
+func (m *Manager) rxDone(n int) {
+	if m.rxTracker != nil && n > 0 {
+		m.rxTracker.RxDone(n)
+	}
 }
 
 // consume is the body every receive worker runs: gather whatever the input
@@ -457,6 +496,7 @@ func (m *Manager) consume(ch <-chan wire.Datagram) {
 			return
 		}
 		rb.dgs = append(rb.dgs[:0], dg)
+		handled := 0
 		closed := false
 	drain:
 		for {
@@ -469,6 +509,7 @@ func (m *Manager) consume(ch <-chan wire.Datagram) {
 				rb.dgs = append(rb.dgs, dg)
 				if len(rb.dgs) >= rxDispatchBatch {
 					m.dispatchBatch(tx, &rb, &scratch)
+					handled += len(rb.dgs)
 					rb.dgs = rb.dgs[:0]
 				}
 			default:
@@ -477,11 +518,13 @@ func (m *Manager) consume(ch <-chan wire.Datagram) {
 		}
 		if len(rb.dgs) > 0 {
 			m.dispatchBatch(tx, &rb, &scratch)
+			handled += len(rb.dgs)
 			rb.dgs = rb.dgs[:0]
 		}
 		if eg != nil {
 			eg.flushAll()
 		}
+		m.rxDone(handled)
 		if closed {
 			return
 		}
@@ -544,7 +587,8 @@ func (m *Manager) handleILPRun(tx Sender, src wire.Addr, dgs []wire.Datagram, rb
 	var okPkts, okBytes uint64
 	pkts := rb.pkts[:0]
 	for k := 0; k < n; k++ {
-		if results[k].Err != nil {
+		if err := results[k].Err; err != nil {
+			m.countOpenFailure(err)
 			continue
 		}
 		okPkts++
@@ -585,6 +629,18 @@ func (m *Manager) handleILPRun(tx Sender, src wire.Addr, dgs []wire.Datagram, rb
 		for k := range pkts {
 			m.cfg.Handler(tx, src, pkts[k].Hdr, pkts[k].HdrRaw, pkts[k].Payload)
 		}
+	}
+}
+
+// countOpenFailure counts one packet OpenBatch rejected, by reason.
+func (m *Manager) countOpenFailure(err error) {
+	switch {
+	case errors.Is(err, psp.ErrReplay):
+		m.rxOpenReplay.Inc()
+	case errors.Is(err, psp.ErrAuthFailed):
+		m.rxOpenAuth.Inc()
+	default:
+		m.rxOpenOther.Inc()
 	}
 }
 
@@ -629,13 +685,14 @@ func (m *Manager) handleMsg1(src wire.Addr, body []byte) {
 		return
 	}
 	out := append([]byte{byte(wire.FrameHandshake2)}, msg2...)
-	if err := m.cfg.Transport.Send(wire.Datagram{Dst: src, Payload: out}); err != nil {
-		return
-	}
 	m.mu.Lock()
 	m.respCache[src] = msg1Reply{digest: digest, msg2: out}
 	m.mu.Unlock()
+	// The pipe is up before msg2 leaves: the initiator may send on it, or
+	// expect to be sent to, the moment msg2 arrives. A lost msg2 is
+	// answered from respCache when msg1 is retransmitted.
 	m.establish(src, res)
+	_ = m.cfg.Transport.Send(wire.Datagram{Dst: src, Payload: out})
 }
 
 func (m *Manager) handleMsg2(src wire.Addr, body []byte) {
@@ -933,13 +990,10 @@ func (m *Manager) PeerIdentity(addr wire.Addr) (ed25519.PublicKey, bool) {
 	return p.identity, true
 }
 
-// Send encodes hdr and sends it with payload over the pipe to dst.
+// Send sends hdr with payload over the pipe to dst, encoding the header
+// straight into the pooled send buffer.
 func (m *Manager) Send(dst wire.Addr, hdr *wire.ILPHeader, payload []byte) error {
-	enc, err := hdr.Encode()
-	if err != nil {
-		return err
-	}
-	return m.SendHeaderBytes(dst, enc, payload)
+	return m.send(dst, ilpHdr{hdr: hdr}, payload)
 }
 
 // SendHeaderBytes sends an already-encoded ILP header with payload over the
@@ -947,32 +1001,20 @@ func (m *Manager) Send(dst wire.Addr, hdr *wire.ILPHeader, payload []byte) error
 // which re-seals decrypted header bytes without re-parsing them. The framed
 // output packet is built in a pooled buffer, so the steady state performs
 // no allocations beyond the transport's own datagram copy.
+//
+// On a transport where each send is a system call, a send that arrives
+// while the socket is busy is staged and leaves with the next coalesced
+// flush; see txQueue. Its nil return means the packet was accepted, and
+// a later seal or socket failure is counted in pipe_tx_flush_drops_total.
 func (m *Manager) SendHeaderBytes(dst wire.Addr, hdrBytes, payload []byte) error {
-	p := m.peer(dst)
-	if p == nil {
-		return fmt.Errorf("%w: %s", ErrNoPipe, dst)
+	return m.send(dst, ilpHdr{raw: hdrBytes}, payload)
+}
+
+func (m *Manager) send(dst wire.Addr, h ilpHdr, payload []byte) error {
+	if m.txq != nil {
+		return m.txq.send(dst, h, payload)
 	}
-	sb := m.sealBufs.Get().(*sealBuf)
-	buf := append(sb.buf[:0], byte(wire.FrameILP))
-	sealed, err := p.crypto.TX.SealScratch(&sb.scratch, buf, hdrBytes, payload)
-	if err != nil {
-		sb.buf = buf
-		m.sealBufs.Put(sb)
-		return err
-	}
-	// Transports must not retain dg.Payload after Send returns (netsim
-	// copies it into the receiver's queue; UDP encodes before writing), so
-	// the buffer can go straight back into the pool.
-	err = m.cfg.Transport.Send(wire.Datagram{Dst: dst, Payload: sealed})
-	n := len(sealed)
-	sb.buf = sealed
-	m.sealBufs.Put(sb)
-	if err != nil {
-		return err
-	}
-	p.txPackets.Add(1)
-	p.txBytes.Add(uint64(n))
-	return nil
+	return m.sendNow(dst, h, payload)
 }
 
 // RotateAll advances the sending key epoch on every pipe (§4 key rotation).
@@ -1016,6 +1058,11 @@ func (m *Manager) Close() error {
 	}
 	m.mu.Unlock()
 	close(m.done)
+	if m.txq != nil {
+		// Staged packets leave (or count as flush drops) before the
+		// socket closes.
+		m.txq.close()
+	}
 	err := m.cfg.Transport.Close()
 	m.wg.Wait()
 	return err

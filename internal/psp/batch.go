@@ -59,9 +59,17 @@ func (t *TX) reserveIVs(n int) (spi uint32, iv uint64, aead cipher.AEAD) {
 // bytes. pkt must be exactly SealedSize(len(hdrPlain), len(payload)) long;
 // the PSP header, length field, and tag regions are left for SealStaged.
 func StageSeal(pkt, hdrPlain, payload []byte) {
+	copy(StageSlot(pkt, len(hdrPlain), payload), hdrPlain)
+}
+
+// StageSlot is StageSeal for a caller that encodes the header in place: it
+// copies payload to its wire offset in pkt and returns the hdrLen-byte
+// region where the header plaintext belongs. pkt must be exactly
+// SealedSize(hdrLen, len(payload)) long.
+func StageSlot(pkt []byte, hdrLen int, payload []byte) []byte {
 	aadEnd := wire.PSPHeaderSize + 2
-	copy(pkt[aadEnd:], hdrPlain)
-	copy(pkt[aadEnd+len(hdrPlain)+16:], payload)
+	copy(pkt[aadEnd+hdrLen+16:], payload)
+	return pkt[aadEnd : aadEnd+hdrLen]
 }
 
 // sealStagedOne seals one staged packet in place: writes the PSP header

@@ -182,3 +182,48 @@ func TestColdResolutionNeverBlocks(t *testing.T) {
 		t.Fatal("requeued ghost packet did not surface the unknown-address error")
 	}
 }
+
+// TestSNBoundRuleMarkedForDestination pins that a forward toward the
+// destination's SN is cached For the destination host: when the host's
+// record moves, the SN's resolution cache invalidates the rule with
+// InvalidateDest(host), so the flow is decided again instead of being
+// held on the path to the SN the host left.
+func TestSNBoundRuleMarkedForDestination(t *testing.T) {
+	svc := lookup.New()
+	owner, err := cryptutil.NewSigningKeypair()
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := wire.MustAddr("fd00::1")
+	dstSN := wire.MustAddr("fd00::2")
+	dst := wire.MustAddr("fd00::beef")
+	sns := []wire.Addr{dstSN}
+	rec := lookup.AddrRecord{Addr: dst, Owner: owner.Public, SNs: sns}
+	if err := svc.RegisterAddress(rec, lookup.SignAddrRecord(owner, dst, sns)); err != nil {
+		t.Fatal(err)
+	}
+	mod := New(svc, nil)
+	pkt := &sn.Packet{
+		Src:     wire.MustAddr("fd00::c0"),
+		Hdr:     wire.ILPHeader{Service: wire.SvcIPFwd, Conn: 7, Data: DestData(dst)},
+		Payload: []byte("x"),
+	}
+	dec, err := mod.HandlePacket(&fakeEnv{local: local}, pkt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dec.Rules) != 1 {
+		t.Fatalf("decision caches %d rules, want 1", len(dec.Rules))
+	}
+	a := dec.Rules[0].Action
+	if len(a.Forward) != 1 || a.Forward[0] != dstSN || a.For != dst {
+		t.Fatalf("rule action %+v, want forward to %s for %s", a, dstSN, dst)
+	}
+
+	c := cache.New(8)
+	c.Add(dec.Rules[0].Key, a)
+	c.InvalidateDest(dst)
+	if _, ok := c.Lookup(dec.Rules[0].Key); ok {
+		t.Fatal("rule survived InvalidateDest of its destination")
+	}
+}

@@ -130,11 +130,14 @@ func (m *Module) HandlePacket(env sn.Env, pkt *sn.Packet) (sn.Decision, error) {
 		}
 	}
 	if sameEdomain {
+		// The rule is marked For dst: when dst's record moves, the SN's
+		// resolution cache invalidates it along with rules forwarding to
+		// dst itself, so the flow is not held on the old SN's path.
 		return sn.Decision{
 			Forwards: []sn.Forward{{Dst: dstSN}},
 			Rules: []sn.Rule{{
 				Key:    pkt.Key(),
-				Action: cache.Action{Forward: []wire.Addr{dstSN}},
+				Action: cache.Action{Forward: []wire.Addr{dstSN}, For: dst},
 			}},
 		}, nil
 	}

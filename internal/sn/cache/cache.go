@@ -44,6 +44,11 @@ type Action struct {
 	// RewriteHeader, if non-nil, replaces the encoded ILP header on
 	// forwarded copies (services may rewrite per-hop metadata).
 	RewriteHeader []byte
+	// For, when valid, names the endpoint the decision serves when Forward
+	// only leads toward it (ipfwd's destination host behind a next-hop
+	// SN). InvalidateDest(For) drops the entry, so a decision taken from
+	// a record that has since moved is taken again.
+	For wire.Addr
 }
 
 // Stats aggregates cache counters across all shards.
@@ -319,13 +324,19 @@ func (c *Cache) InvalidateSource(src wire.Addr) {
 }
 
 // InvalidateDest removes all entries whose cached action forwards to dst
-// (used when the pipe to a next hop dies: the stale route must fall back
-// to the slow path so the module can re-decide it once the pipe — with
-// fresh keys and epochs — is re-established).
+// or is marked For dst (used when the pipe to a next hop dies, or when a
+// host's address record changes: the stale route must fall back to the
+// slow path so the module can re-decide it once the pipe — with fresh
+// keys and epochs — is re-established, or from the new record).
 func (c *Cache) InvalidateDest(dst wire.Addr) {
 	for _, s := range c.shards {
 		s.mu.Lock()
 		for key, i := range s.index {
+			if a := &s.slots[i].action; a.For.IsValid() && a.For == dst {
+				delete(s.index, key)
+				s.slots[i] = entry{}
+				continue
+			}
 			for _, fwd := range s.slots[i].action.Forward {
 				if fwd == dst {
 					delete(s.index, key)

@@ -37,6 +37,28 @@ func TestInvalidateDestRemovesOnlyMatchingRoutes(t *testing.T) {
 	}
 }
 
+func TestInvalidateDestDropsRulesMarkedFor(t *testing.T) {
+	c := NewSharded(64, 4)
+	nextSN := wire.MustAddr("fd00::a")
+	moved := wire.MustAddr("fd00::100")
+	stays := wire.MustAddr("fd00::101")
+
+	k1 := wire.FlowKey{Src: wire.MustAddr("fd00::1"), Service: wire.SvcIPFwd, Conn: 1}
+	k2 := wire.FlowKey{Src: wire.MustAddr("fd00::2"), Service: wire.SvcIPFwd, Conn: 1}
+	c.Add(k1, Action{Forward: []wire.Addr{nextSN}, For: moved})
+	c.Add(k2, Action{Forward: []wire.Addr{nextSN}, For: stays})
+
+	// The moved host's record changed: the rule serving it through the
+	// SN it used to live on goes; the other flow through that SN stays.
+	c.InvalidateDest(moved)
+	if _, ok := c.Lookup(k1); ok {
+		t.Fatal("rule marked For the moved host survived")
+	}
+	if _, ok := c.Lookup(k2); !ok {
+		t.Fatal("rule for another destination through the same SN was invalidated")
+	}
+}
+
 func TestInvalidateDestAcrossShards(t *testing.T) {
 	c := New(4096)
 	hop := wire.MustAddr("fd00::a")

@@ -504,6 +504,34 @@ func TestDispatcherErrorAndShedAccounting(t *testing.T) {
 	}
 }
 
+// TestDispatcherSubmitAfterClose submits while and after the dispatcher
+// closes, as a module's asynchronous fill may during SN shutdown: the
+// packet is dropped and counted, never sent on the closed queue.
+func TestDispatcherSubmitAfterClose(t *testing.T) {
+	manual := clock.NewManual(time.Unix(0, 0))
+	d := newDispatcher(&funcInvoker{fn: func(*Packet) (*Decision, error) { return &Decision{}, nil }},
+		dispatcherConfig{
+			workers: 1,
+			depth:   8,
+			clk:     manual,
+			brk:     newBreaker(2, time.Minute, manual),
+			apply:   func(*Packet, *Decision) {},
+			onError: func(*Packet, error) {},
+		})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 1000; i++ {
+			d.submit(&Packet{})
+		}
+	}()
+	d.close()
+	<-done
+	if d.submit(&Packet{}) {
+		t.Fatal("submit accepted a packet after close")
+	}
+}
+
 // fakeIPCModuleServer accepts connections on l and serves framed exchanges
 // with serve(connIndex, requestBody) choosing each response body.
 func fakeIPCModuleServer(l net.Listener, serve func(connIdx uint64, req []byte) (resp []byte, dropConn bool)) {

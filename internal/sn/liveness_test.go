@@ -136,3 +136,39 @@ func TestRequeueDepthBoundsMemory(t *testing.T) {
 		t.Fatalf("Requeued = %d, exceeds sends", got)
 	}
 }
+
+// TestFailedConnectInvalidatesRulesToDest pins the recovery path for a
+// decision cached after its next hop died: the forward finds no pipe, the
+// redial fails, and the rule steering at the unreachable hop is dropped so
+// the flow's next packet is decided again rather than requeued toward the
+// corpse for good.
+func TestFailedConnectInvalidatesRulesToDest(t *testing.T) {
+	net := netsim.NewNetwork()
+	dead := wire.MustAddr("fd00::dead") // never attached: handshake must fail
+	node := newTestSN(t, net, "fd00::5", func(c *Config) {
+		c.HandshakeTimeout = 20 * time.Millisecond
+		c.HandshakeRetries = 2
+	})
+	cl := newClient(t, net, "fd00::1")
+	if err := cl.mgr.Connect(node.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	key := wire.FlowKey{Src: cl.addr, Service: wire.SvcEcho, Conn: 1}
+	node.Cache().Add(key, cache.Action{Forward: []wire.Addr{dead}})
+	if err := cl.mgr.Send(node.Addr(), &wire.ILPHeader{Service: wire.SvcEcho, Conn: 1}, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(3 * time.Second)
+	for {
+		if _, ok := node.Cache().Lookup(key); !ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("rule toward unreachable %s survived the failed connect: %+v", dead, node.Counters())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if node.Counters().Requeued == 0 {
+		t.Fatal("forward was not requeued behind the connect")
+	}
+}

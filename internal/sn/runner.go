@@ -598,6 +598,12 @@ type dispatcher struct {
 	degrade  func(pkt *Packet) // runs for packets shed by an open breaker
 	wg       sync.WaitGroup
 
+	// closeMu orders submit against close: a module's asynchronous work
+	// (an ipfwd resolution fill, say) may inject a packet while the SN is
+	// closing, and a send on the closed queue would panic.
+	closeMu sync.RWMutex
+	closed  bool
+
 	// Containment counters are telemetry instruments labeled by module
 	// name; ModuleHealth reads them back as a legacy view.
 	dropped  *telemetry.Counter
@@ -707,6 +713,12 @@ func (d *dispatcher) invokeOne(pkt *Packet) (*Decision, error) {
 // submit enqueues a packet, dropping it if the slow path is saturated
 // (overload sheds load rather than stalling the terminus).
 func (d *dispatcher) submit(pkt *Packet) bool {
+	d.closeMu.RLock()
+	defer d.closeMu.RUnlock()
+	if d.closed {
+		d.dropped.Add(1)
+		return false
+	}
 	select {
 	case d.queue <- pkt:
 		return true
@@ -717,7 +729,10 @@ func (d *dispatcher) submit(pkt *Packet) bool {
 }
 
 func (d *dispatcher) close() {
+	d.closeMu.Lock()
+	d.closed = true
 	close(d.queue)
+	d.closeMu.Unlock()
 	d.wg.Wait()
 	d.inv.close()
 }

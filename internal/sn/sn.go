@@ -849,6 +849,12 @@ func (s *SN) establishAndFlush(dst wire.Addr) {
 	err := s.mgr.Connect(dst)
 	if err != nil {
 		s.cfg.Logf("sn %s: connect to %s failed: %v", s.Addr(), dst, err)
+		// Cached decisions steering at an unreachable next hop are stale:
+		// drop them so the next packet of each flow is decided again.
+		// Dead-peer detection does the same when a pipe dies, but a
+		// decision made after that (from a record that had not moved
+		// yet) would otherwise steer its flow at the corpse for good.
+		s.cache.InvalidateDest(dst)
 	}
 	for {
 		s.mu.Lock()

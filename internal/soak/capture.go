@@ -43,9 +43,9 @@ func (c *WireCapture) Datagrams() []wire.Datagram {
 }
 
 // Tap wraps a transport so every egress datagram is recorded into c.
-// Pass it to lab.WithTransportWrap. BatchSender and Registrable are
-// forwarded so the wrapped transport keeps its vectored path and its
-// instruments.
+// Pass it to lab.WithTransportWrap. BatchSender, Registrable and
+// RxTracker are forwarded so the wrapped transport keeps its vectored
+// path, its instruments and the runner's view of pending work.
 func (c *WireCapture) Tap(tr netsim.Transport) netsim.Transport {
 	return &tapTransport{Transport: tr, cap: c}
 }
@@ -76,5 +76,11 @@ func (t *tapTransport) SendBatch(dgs []wire.Datagram) (int, error) {
 func (t *tapTransport) RegisterTelemetry(r *telemetry.Registry) {
 	if rt, ok := t.Transport.(telemetry.Registrable); ok {
 		rt.RegisterTelemetry(r)
+	}
+}
+
+func (t *tapTransport) RxDone(n int) {
+	if rt, ok := t.Transport.(netsim.RxTracker); ok {
+		rt.RxDone(n)
 	}
 }

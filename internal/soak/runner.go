@@ -350,10 +350,12 @@ func runScenario(sc Scenario, seed int64, ro *runOpts) (*runOutcome, error) {
 		if pause > 0 {
 			time.Sleep(pause)
 		}
+		settle(net)
 	}
 	for i := 0; i < sc.DrainTicks; i++ {
 		clk.Advance(sc.Tick)
 		time.Sleep(20 * time.Microsecond)
+		settle(net)
 	}
 	time.Sleep(20 * time.Millisecond)
 
@@ -398,6 +400,46 @@ func runScenario(sc Scenario, seed int64, ro *runOpts) (*runOutcome, error) {
 	}
 	out.bad += strayBad.Load()
 	return out, nil
+}
+
+// Settling: the tick loop advances the injected clock only once the
+// fabric has gone quiet, so a keepalive probe, handshake or forward that a
+// tick set off is sent and handled by its receiver before the next tick
+// can age the pipe it keeps alive. Without it the loop outran the
+// node goroutines on multi-core schedulers and pipes were declared dead
+// for lack of CPU, not of traffic.
+const (
+	settleQuiet = 200 * time.Microsecond
+	settleMax   = 20 * time.Millisecond
+)
+
+// settle blocks until every datagram the fabric delivered has been handled
+// (Network.Pending) and the fabric's traffic counters have not moved for
+// settleQuiet, or for settleMax in all. Each poll yields the processor so
+// the goroutines the last tick woke run first.
+func settle(net *netsim.Network) {
+	start := time.Now()
+	last := fabricActivity(net)
+	quietSince := start
+	for {
+		runtime.Gosched()
+		now := time.Now()
+		if now.Sub(start) >= settleMax {
+			return
+		}
+		if cur := fabricActivity(net); cur != last || net.Pending() != 0 {
+			last, quietSince = cur, now
+		} else if now.Sub(quietSince) >= settleQuiet {
+			return
+		}
+	}
+}
+
+// fabricActivity sums the fabric's monotonic per-datagram counters: it
+// moves whenever a node sends or the fabric delivers or drops anything.
+func fabricActivity(net *netsim.Network) uint64 {
+	s := net.Snapshot()
+	return s.Sent + s.Delivered + s.DroppedLoss + s.DroppedQueue + s.DroppedDead
 }
 
 // buildFlows opens every conn of the scenario's traffic mix and indexes

@@ -33,6 +33,14 @@ run() {
 echo "==> go vet ./..."
 go vet ./... || exit 1
 
+echo "==> gofmt -l ."
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+	echo "gofmt would reformat:"
+	echo "$unformatted"
+	exit 1
+fi
+
 echo "==> go build ./..."
 go build ./... || exit 1
 
